@@ -66,6 +66,7 @@ from repro.service.server import (
     QuantileServer,
     _optional_tags,
     _require_metric,
+    _require_values,
 )
 
 
@@ -317,12 +318,7 @@ class ClusterNode(QuantileServer):
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
         name = _require_metric(request)
         tags = _optional_tags(request)
-        raw_values = request.get("values")
-        if not isinstance(raw_values, list) or not raw_values:
-            raise InvalidValueError(
-                "ingest needs a non-empty 'values' list"
-            )
-        values = [float(value) for value in raw_values]
+        values = _require_values(request)
         timestamp_ms = request.get("timestamp_ms")
         if timestamp_ms is not None:
             timestamp_ms = float(timestamp_ms)
@@ -357,8 +353,9 @@ class ClusterNode(QuantileServer):
                     name, values, ts, tags, now_ms=now
                 )
             except ReproError as exc:
-                # Journaled but rejected: replay and replication reject
-                # it identically, so replicas stay in lockstep.
+                # Journaled but rejected (the batch itself was validated
+                # above): replay and replication reject it identically,
+                # so replicas stay in lockstep.
                 self.stats.incr("error_responses")
                 return protocol.error(
                     "bad_request", f"rejected at apply: {exc}"

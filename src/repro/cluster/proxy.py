@@ -6,7 +6,8 @@ a node, so every existing client works against a cluster unchanged.
 Per request it consults the latest supervisor view and the shared
 hash ring:
 
-* **ingest** goes to the tenant key's leader (first alive owner).
+* **ingest** goes to the tenant key's leader (first alive owner),
+  forwarded as a value-batch record.
   Routing races view propagation by design; a ``not_leader`` answer
   carries the responder's belief and the proxy follows the redirect
   once before giving up — bounded chasing, no loops.
@@ -208,6 +209,12 @@ class RoutingProxy:
 
     def _route_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
         key = self._tenant_key(request)
+        if isinstance(request.get("values"), list):
+            # Forward the batch as a value-batch record; the node
+            # validates it.
+            request = dict(
+                request, values=protocol.value_batch(request["values"])
+            )
         view, _ = self._view_snapshot()
         if view.nodes:
             leader = view.leader(self.ring, key, self.replication_factor)

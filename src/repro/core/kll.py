@@ -18,7 +18,7 @@ stream values, and the sketch occasionally returns the exact quantile
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,16 +75,6 @@ class KLLSketch(QuantileSketch):
     # Capacity schedule
     # ------------------------------------------------------------------
 
-    def _capacity(self, height: int) -> int:
-        """Capacity of the compactor at *height*.
-
-        The top compactor holds ``k`` items; each level below holds a
-        ``2/3`` fraction of the level above, floored at two.  Reads the
-        per-level cache; the schedule only changes when the hierarchy
-        grows, so the compaction scan never redoes the power math.
-        """
-        return self._capacities[height]
-
     def _total_capacity(self) -> int:
         """Cached sum of all compactor capacities.
 
@@ -95,6 +85,13 @@ class KLLSketch(QuantileSketch):
         return self._capacity_cache
 
     def _recompute_capacity(self) -> None:
+        """Refill the per-level capacity cache and its sum.
+
+        The top compactor holds ``k`` items; each level below holds a
+        ``2/3`` fraction of the level above, floored at two.  The
+        schedule only changes when the hierarchy grows, so compaction
+        and merging read the cache instead of redoing the power math.
+        """
         top = len(self._compactors) - 1
         self._capacities = [
             max(
@@ -118,7 +115,7 @@ class KLLSketch(QuantileSketch):
         self._compactors[0].append(value)
         self._retained += 1
         self._observe(value)
-        if self._retained > self._total_capacity():
+        if self._retained > self._capacity_cache:
             self._compress()
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
@@ -166,13 +163,17 @@ class KLLSketch(QuantileSketch):
 
     def _compress(self) -> None:
         """Compact the lowest over-full compactor (may cascade)."""
-        while self._retained > self._total_capacity():
-            for height in range(len(self._compactors)):
-                if len(self._compactors[height]) >= self._capacity(height):
+        while self._retained > self._capacity_cache:
+            # Re-read per pass: a compaction may grow the hierarchy,
+            # which replaces the capacity cache.
+            capacities = self._capacities
+            compactors = self._compactors
+            for height, buffer in enumerate(compactors):
+                if len(buffer) >= capacities[height]:
                     self._compact_level(height)
                     break
             else:  # no level is individually full; grow the hierarchy
-                self._compact_level(len(self._compactors) - 1)
+                self._compact_level(len(compactors) - 1)
 
     def _compact_level(self, height: int) -> None:
         """Sort level *height*, promote a random half, discard the rest."""
@@ -214,17 +215,24 @@ class KLLSketch(QuantileSketch):
         return all_values[order], all_weights[order]
 
     def quantile(self, q: float) -> float:
-        q = validate_quantile(q)
+        return self.quantiles([q])[0]
+
+    def quantiles(self, qs: Iterable[float]) -> list[float]:
+        """Estimates for several quantiles over one sorted sample."""
+        checked = [validate_quantile(q) for q in qs]
         self._require_nonempty()
         values, weights = self._weighted_samples()
         cumulative = np.cumsum(weights)
-        # The q-quantile is the item of rank ceil(q * N) (Sec 2.1); the
-        # retained weights sum to a value near (not exactly) the stream
-        # length, so select against the retained total.
-        target = math.ceil(q * cumulative[-1])
-        pos = int(np.searchsorted(cumulative, target, side="left"))
-        pos = min(pos, values.size - 1)
-        return float(values[pos])
+        last = values.size - 1
+        out: list[float] = []
+        for q in checked:
+            # The q-quantile is the item of rank ceil(q * N) (Sec 2.1);
+            # the retained weights sum to a value near (not exactly)
+            # the stream length, so select against the retained total.
+            target = math.ceil(q * cumulative[-1])
+            pos = int(np.searchsorted(cumulative, target, side="left"))
+            out.append(float(values[min(pos, last)]))
+        return out
 
     def rank(self, value: float) -> int:
         self._require_nonempty()
@@ -249,16 +257,17 @@ class KLLSketch(QuantileSketch):
             raise IncompatibleSketchError(
                 f"cannot merge KLLSketch with {type(other).__name__}"
             )
-        while len(self._compactors) < len(other._compactors):
-            self._compactors.append([])
-        self._recompute_capacity()
+        grow = len(other._compactors) - len(self._compactors)
+        if grow > 0:
+            self._compactors.extend([] for _ in range(grow))
+            self._recompute_capacity()
         for height, buffer in enumerate(other._compactors):
             self._compactors[height].extend(buffer)
             self._retained += len(buffer)
         self._merge_bookkeeping(other)
         # Compact any level exceeding the capacity schedule of the
         # combined sketch (k_h is based on the merged height, Sec 3.1).
-        if self._retained > self._total_capacity():
+        if self._retained > self._capacity_cache:
             self._compress()
 
     # ------------------------------------------------------------------

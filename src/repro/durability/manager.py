@@ -26,18 +26,23 @@ checkpoint watermark equalling the state actually captured — is only
 guaranteed when appends pause and the ingest queue drains around the
 snapshot, which is the server's job.
 
-WAL records are encoded with the wire protocol's canonical-JSON codec
-(:mod:`repro.service.protocol`): sorted keys, explicit sentinels for
-non-finite floats.  A journaled batch containing ``inf`` (legal in
-sketches) or ``nan`` (rejected at apply time, identically on replay)
-round-trips exactly.
+WAL record payloads are the wire protocol's value-batch record
+(:mod:`repro.service.protocol`, kind ``JOURNAL_RECORD``): a packed
+header with metric, tags, event timestamp and journal-time clock, then
+the raw float64 values, so journaling a batch under the ingest lock is
+a copy plus a CRC.  Every reader goes through
+:func:`~repro.service.protocol.decode_message`, which also still reads
+logs written with canonical-JSON payloads.  Values round-trip bit for
+bit, non-finite ones included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.durability.checkpoint import Checkpointer
 from repro.durability.wal import FlushPolicy, WriteAheadLog
@@ -203,7 +208,7 @@ class DurabilityManager:
         self,
         metric: str,
         tags: Mapping[str, str] | None,
-        values: list[float],
+        values: "Sequence[float] | np.ndarray",
         timestamp_ms: float | None,
     ) -> tuple[int, float, float]:
         """Append one ingest op to the WAL; returns ``(seq, ts, now)``.
@@ -219,7 +224,7 @@ class DurabilityManager:
             {
                 "metric": metric,
                 "tags": dict(tags) if tags else None,
-                "values": values,
+                "values": np.asarray(values, dtype=np.float64),
                 "ts": ts,
                 "now": now,
             }
@@ -299,9 +304,8 @@ class DurabilityManager:
         self.close()
 
 
-def record_payload(payload: bytes) -> dict[str, Any]:
-    """Decode one WAL record payload (test/debug helper)."""
-    return decode_message(payload)
+#: Decode one WAL record payload (test/debug helper).
+record_payload = decode_message
 
 
 def read_wal_records(

@@ -1,6 +1,6 @@
 """Blocking TCP client for the quantile service.
 
-:class:`QuantileClient` speaks the length-prefixed JSON protocol with a
+:class:`QuantileClient` speaks the length-prefixed protocol with a
 small, explicit reliability model:
 
 * *transport* failures (connection refused, reset, mid-frame EOF) are
@@ -248,11 +248,15 @@ class QuantileClient:
         timestamp_ms: float | None = None,
         tags: Mapping[str, str] | None = None,
     ) -> int:
-        """Enqueue a batch server-side; returns the accepted count."""
+        """Enqueue a batch server-side; returns the accepted count.
+
+        *values* may be any iterable of floats; it travels as one
+        value-batch record (:mod:`repro.service.protocol`).
+        """
         request: dict[str, Any] = {
             "op": "ingest",
             "metric": metric,
-            "values": [float(value) for value in values],
+            "values": protocol.value_batch(values),
         }
         if timestamp_ms is not None:
             request["timestamp_ms"] = float(timestamp_ms)

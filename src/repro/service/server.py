@@ -1,7 +1,7 @@
 """Threaded TCP front end for the quantile service.
 
 :class:`QuantileServer` exposes a :class:`~repro.service.registry.MetricRegistry`
-over the length-prefixed JSON protocol of :mod:`repro.service.protocol`,
+over the length-prefixed protocol of :mod:`repro.service.protocol`,
 using :class:`socketserver.ThreadingTCPServer` (one thread per
 connection, the same shape as the paper's Flink task slots serving
 operator queries).
@@ -9,14 +9,16 @@ operator queries).
 Backpressure model
 ------------------
 Queries are answered synchronously from the registry's merged-view
-caches.  Ingest is decoupled: the handler validates the request,
-enqueues it on a *bounded* queue and acks immediately; dedicated worker
-threads drain the queue into the registry.  When the queue is full the
-server does not block the socket and does not buffer unboundedly — it
-*sheds* the request with an explicit ``overloaded`` response and counts
-it, so clients see backpressure as data instead of latency.  The
-``flush`` op barriers on the queue draining, which is what makes an
-ingest-then-query sequence deterministic for the test harness.
+caches.  Ingest is decoupled: the handler validates the request (the
+whole batch, once, with the sketches' NaN/±inf policy), enqueues the
+validated array on a *bounded* queue and acks immediately; dedicated
+worker threads drain the queue into the registry.  When the queue is
+full the server does not block the socket and does not buffer
+unboundedly — it *sheds* the request with an explicit ``overloaded``
+response and counts it, so clients see backpressure as data instead of
+latency.  The ``flush`` op barriers on the queue draining, which is
+what makes an ingest-then-query sequence deterministic for the test
+harness.
 
 ``pause_ingest()`` / ``resume_ingest()`` hold the drain workers at a
 gate; the overload benchmark and tests use them to force the queue-full
@@ -66,6 +68,9 @@ import socketserver
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+import numpy as np
+
+from repro.core.base import as_float_batch
 from repro.errors import (
     DurabilityError,
     EmptySketchError,
@@ -348,7 +353,7 @@ class QuantileServer:
         # Queue items pin both the resolved event timestamp and (when
         # durability journaled the batch) the clock reading to apply it
         # under, so replay reproduces the drain path exactly.
-        self._queue: "queue.Queue[tuple[str, dict[str, str] | None, list[float], float | None, float | None] | None]" = queue.Queue(
+        self._queue: "queue.Queue[tuple[str, dict[str, str] | None, np.ndarray, float | None, float | None] | None]" = queue.Queue(
             maxsize=ingest_queue_size
         )
         self._ingest_workers = ingest_workers
@@ -581,7 +586,7 @@ class QuantileServer:
     def _apply_ops(
         self,
         batch: list[
-            tuple[str, dict[str, str] | None, list[float], float | None, float | None]
+            tuple[str, dict[str, str] | None, np.ndarray, float | None, float | None]
         ],
     ) -> None:
         """Apply drained ops, merging adjacent same-key runs.
@@ -597,7 +602,6 @@ class QuantileServer:
         while start < total:
             name, tags, values, timestamp_ms, now_ms = batch[start]
             end = start + 1
-            merged = values
             while end < total:
                 other = batch[end]
                 if (
@@ -607,11 +611,10 @@ class QuantileServer:
                     or other[4] != now_ms
                 ):
                     break
-                if merged is values:
-                    merged = list(values)
-                merged.extend(other[2])
                 end += 1
+            merged = values
             if end - start > 1:
+                merged = np.concatenate([op[2] for op in batch[start:end]])
                 self.telemetry.counter("server.drain_coalesced_ops").inc(
                     end - start - 1
                 )
@@ -717,12 +720,7 @@ class QuantileServer:
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
         name = _require_metric(request)
         tags = _optional_tags(request)
-        raw_values = request.get("values")
-        if not isinstance(raw_values, list) or not raw_values:
-            raise InvalidValueError(
-                "ingest needs a non-empty 'values' list"
-            )
-        values = [float(value) for value in raw_values]
+        values = _require_values(request)
         timestamp_ms = request.get("timestamp_ms")
         if timestamp_ms is not None:
             timestamp_ms = float(timestamp_ms)
@@ -946,6 +944,21 @@ def _require_metric(request: Mapping[str, Any]) -> str:
             "request needs a non-empty string 'metric'"
         )
     return name
+
+
+def _require_values(request: Mapping[str, Any]) -> np.ndarray:
+    """The ingest batch, validated once for the whole request path.
+
+    Uses the sketches' own NaN/±inf policy (:func:`as_float_batch`), so
+    a batch is rejected before the shed check, the journal and the ack:
+    an ``accepted`` reply means the drain will apply it, and the WAL
+    never holds a record replay rejects.  The returned array is what
+    gets journaled, queued and applied.
+    """
+    values = request.get("values")
+    if not isinstance(values, list) or not values:
+        raise InvalidValueError("ingest needs a non-empty 'values' list")
+    return as_float_batch(values)
 
 
 def _optional_tags(request: Mapping[str, Any]) -> dict[str, str] | None:

@@ -1,9 +1,12 @@
-"""Tests for the length-prefixed JSON wire protocol."""
+"""Tests for the length-prefixed wire protocol: JSON and the
+value-batch record."""
 
 import io
 import math
+import socket
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
@@ -204,3 +207,213 @@ class TestIdentityOps:
             assert info["role"] == "leader"
             assert info["wal_watermark"] == 1
             assert info["frontier"][leader] == 1
+
+
+# ----------------------------------------------------------------------
+# Value-batch record
+# ----------------------------------------------------------------------
+
+#: -0.0, the smallest subnormal, a mid subnormal, ±inf, the default NaN
+#: and a NaN with a payload: the record must carry all of them bit for
+#: bit (a direct ``journal()`` call may write any of them to the WAL).
+EDGE_BITS = np.array(
+    [
+        0x8000000000000000,  # -0.0
+        0x0000000000000001,  # smallest subnormal
+        0x000FFFFFFFFFFFFF,  # largest subnormal
+        0x7FF0000000000000,  # +inf
+        0xFFF0000000000000,  # -inf
+        0x7FF8000000000000,  # NaN
+        0x7FF800000000BEEF,  # NaN with a payload
+        0x3FF8000000000000,  # 1.5
+    ],
+    dtype=np.uint64,
+)
+EDGE_VALUES = EDGE_BITS.view(np.float64)
+
+
+def record_bits(message):
+    return np.asarray(message["values"], dtype=np.float64).view(np.uint64)
+
+
+def ingest_request(**fields):
+    payload = {"op": "ingest", "metric": "lat", "values": EDGE_VALUES}
+    payload.update(fields)
+    return payload
+
+
+class TestValueBatchRecord:
+    def test_ingest_request_packs_as_a_record(self):
+        body = protocol.encode_message(ingest_request())
+        assert body[0] == protocol.INGEST_RECORD
+        header = len(body) - 8 * EDGE_VALUES.size
+        assert header == 28 + len(b"lat")
+
+    def test_values_round_trip_bit_for_bit(self):
+        decoded = protocol.decode_message(
+            protocol.encode_message(ingest_request())
+        )
+        assert isinstance(decoded["values"], list)
+        assert all(type(value) is float for value in decoded["values"])
+        assert np.array_equal(record_bits(decoded), EDGE_BITS)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"tags": {"svc": "api", "zone": "eu"}},
+            {"tags": {}},
+            {"timestamp_ms": 0.0},
+            {"timestamp_ms": 1_234.5, "tags": {"k": "v"}},
+            {"metric": "latência.µs/请求"},
+            {"tags": {"région": "île-de-france"}},
+            {"tags": {"n": 1, "hi": math.inf}},
+        ],
+    )
+    def test_ingest_request_round_trip(self, fields):
+        payload = ingest_request(**fields)
+        body = protocol.encode_message(payload)
+        assert body[0] == protocol.INGEST_RECORD
+        decoded = protocol.decode_message(body)
+        assert set(decoded) == set(payload)
+        for key in set(payload) - {"values"}:
+            assert decoded[key] == payload[key]
+            assert type(decoded[key]) is type(payload[key])
+        assert np.array_equal(record_bits(decoded), EDGE_BITS)
+
+    def test_absent_timestamp_differs_from_zero(self):
+        absent = protocol.decode_message(
+            protocol.encode_message(ingest_request())
+        )
+        zero = protocol.decode_message(
+            protocol.encode_message(ingest_request(timestamp_ms=0.0))
+        )
+        assert "timestamp_ms" not in absent
+        assert zero["timestamp_ms"] == 0.0
+
+    @pytest.mark.parametrize("tags", [None, {"svc": "api"}])
+    @pytest.mark.parametrize("ts", [None, 0.0, -1.5, 7e12])
+    def test_journal_record_round_trip(self, tags, ts):
+        payload = {
+            "metric": "lat", "tags": tags, "values": EDGE_VALUES,
+            "ts": ts, "now": 5_000.0,
+        }
+        body = protocol.encode_message(payload)
+        assert body[0] == protocol.JOURNAL_RECORD
+        decoded = protocol.decode_message(body)
+        assert set(decoded) == set(payload)
+        assert decoded["tags"] == tags
+        assert decoded["ts"] == ts
+        assert decoded["now"] == 5_000.0
+        assert np.array_equal(record_bits(decoded), EDGE_BITS)
+
+    def test_record_decodes_like_the_json_form(self):
+        values = np.array([1.0, 2.5, -3.0])
+        for payload in (
+            ingest_request(values=values, tags={"a": "b"}, timestamp_ms=9.0),
+            {"metric": "m", "tags": None, "values": values,
+             "ts": 1.0, "now": 2.0},
+        ):
+            as_json = dict(payload, values=values.tolist())
+            json_body = protocol.encode_message(as_json)
+            assert json_body.startswith(b"{")
+            assert protocol.decode_message(
+                protocol.encode_message(payload)
+            ) == protocol.decode_message(json_body) == as_json
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ingest_request(values=[1.0, 2.0]),  # a list, not an array
+            ingest_request(values=np.arange(3)),  # int64 array
+            ingest_request(values=np.ones((2, 2))),  # not 1-D
+            ingest_request(request_id="r-1"),  # an extra field
+            ingest_request(tags=None),  # explicit null tags
+            ingest_request(timestamp_ms=None),
+            {"op": "quantile", "metric": "m", "values": EDGE_VALUES},
+        ],
+    )
+    def test_other_shapes_stay_json(self, payload):
+        body = protocol.encode_message(payload)
+        assert body.startswith(b"{")
+        decoded = protocol.decode_message(body)
+        assert decoded["metric"] == payload["metric"]
+
+    def test_frames_carry_records(self):
+        stream = io.BytesIO(
+            protocol.encode_frame(ingest_request())
+            + protocol.encode_frame({"op": "flush"})
+        )
+        first = protocol.read_frame(stream)
+        assert first["op"] == "ingest"
+        assert np.array_equal(record_bits(first), EDGE_BITS)
+        assert protocol.read_frame(stream) == {"op": "flush"}
+
+    def test_json_body_with_leading_whitespace_is_still_json(self):
+        assert protocol.decode_message(b'\n {"op":"ping"}') == {
+            "op": "ping"
+        }
+
+    def test_value_batch_accepts_any_iterable(self):
+        array = protocol.value_batch(float(v) for v in range(3))
+        assert array.dtype == np.float64
+        assert array.tolist() == [0.0, 1.0, 2.0]
+        same = np.array([1.0, 2.0])
+        assert np.shares_memory(protocol.value_batch(same), same)
+
+
+class TestMalformedRecords:
+    def body(self):
+        return bytearray(protocol.encode_message(ingest_request()))
+
+    @pytest.mark.parametrize("cut", [1, 5, 27, 30, 35])
+    def test_truncated_record_raises(self, cut):
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(bytes(self.body()[:cut]))
+
+    def test_trailing_bytes_raise(self):
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(bytes(self.body()) + b"\x00")
+
+    @pytest.mark.parametrize("count", [0, 7, 9, 2**32 - 1])
+    def test_count_length_mismatch_raises(self, count):
+        body = self.body()
+        struct.pack_into("<I", body, 18, count)
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(bytes(body))
+
+    @pytest.mark.parametrize("kind", [0x00, 0x03, 0x1F])
+    def test_unknown_kind_byte_raises(self, kind):
+        body = self.body()
+        body[0] = kind
+        with pytest.raises(ProtocolError, match="record kind"):
+            protocol.decode_message(bytes(body))
+
+    def test_unknown_flag_bits_raise(self):
+        body = self.body()
+        body[1] |= 0x80
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(bytes(body))
+
+    def test_undecodable_metric_raises(self):
+        body = self.body()
+        body[28] = 0xFF
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(bytes(body))
+
+    def test_server_answers_once_with_a_protocol_error(self):
+        from repro.service import ManualClock, MetricRegistry, QuantileServer
+
+        good = protocol.encode_message(ingest_request())
+        truncated = good[:-3]
+        registry = MetricRegistry(clock=ManualClock(0.0))
+        with QuantileServer(registry) as server:
+            with socket.create_connection(server.address, timeout=5) as conn:
+                conn.sendall(struct.pack(">I", len(truncated)) + truncated)
+                stream = conn.makefile("rb")
+                response = protocol.read_frame(stream)
+                assert response["ok"] is False
+                assert response["error"] == "protocol"
+                # The server dropped the connection after answering.
+                assert protocol.read_frame(stream) is None
+            assert registry.get("lat") is None
